@@ -29,12 +29,12 @@ struct LocalSearchOptions {
   size_t max_community_size = 0;
   /// Allow the removal move (the paper's search uses both directions).
   bool allow_remove = true;
-  /// Testing/ablation escape hatch: skip the bucket-queue fast path
+  /// Testing/ablation escape hatch: skip the bucket-queue fast paths
   /// even when the fitness is deg-in-ranked, forcing the generic
-  /// climber. The two climbers reach local maxima of the same quality
-  /// but break exact ties differently (most-recently-touched vs
-  /// smallest-id), so differential suites that compare against the
-  /// generic weighted path set this to compare like for like.
+  /// climber. The climbers reach local maxima of the same quality but
+  /// break exact gain ties differently (see GreedyLocalSearch), so
+  /// differential suites that compare against the generic weighted
+  /// path set this to compare like for like.
   bool force_generic_climber = false;
 };
 
@@ -50,8 +50,17 @@ struct LocalSearchResult {
 };
 
 /// Climbs from `seed_set` (must be non-empty, members in range, duplicate
-/// free after canonicalization). Deterministic: ties broken toward the
-/// smallest node id.
+/// free after canonicalization). Deterministic; an add beats a removal of
+/// equal gain, and exact ties among candidates of one kind go to:
+///   * integer bucket-queue climber (deg-in-ranked fitness): the node
+///     inserted last into the extreme deg-in bucket (a re-keyed node
+///     counts as freshly inserted);
+///   * weighted climber (deg-in-ranked, use_weights on a weighted
+///     graph): the smallest id among the nodes of the extreme quantized
+///     bucket with the exact extreme weighted deg-in;
+///   * generic climber (every other fitness, or force_generic_climber):
+///     the first node in iteration order, i.e. the smallest id for an
+///     add and the earliest-inserted member for a removal.
 Result<LocalSearchResult> GreedyLocalSearch(const Graph& graph,
                                             const Community& seed_set,
                                             const LocalSearchOptions& options);

@@ -672,6 +672,17 @@ Result<RecursiveHierarchy> BuildRecursiveHierarchy(
 std::vector<std::vector<uint32_t>> RecursiveHierarchy::MembershipPaths(
     NodeId v) const {
   std::vector<std::vector<uint32_t>> paths;
+  for (uint32_t root : roots) {
+    const Community& c = nodes[root].community;
+    if (std::binary_search(c.begin(), c.end(), v)) {
+      AppendMembershipPaths(v, root, &paths);
+    }
+  }
+  return paths;
+}
+
+void RecursiveHierarchy::AppendMembershipPaths(
+    NodeId v, uint32_t root, std::vector<std::vector<uint32_t>>* paths) const {
   std::vector<uint32_t> path;
   auto contains = [&](uint32_t index) {
     const Community& c = nodes[index].community;
@@ -687,13 +698,10 @@ std::vector<std::vector<uint32_t>> RecursiveHierarchy::MembershipPaths(
         self(self, child);
       }
     }
-    if (!any_child) paths.push_back(path);
+    if (!any_child) paths->push_back(path);
     path.pop_back();
   };
-  for (uint32_t root : roots) {
-    if (contains(root)) descend(descend, root);
-  }
-  return paths;
+  descend(descend, root);
 }
 
 std::vector<RecursiveLevelSummary> RecursiveHierarchy::LevelSummaries()

@@ -91,9 +91,9 @@ struct RecursiveHierarchyOptions {
   /// `warm_start`. NOTE: the polished seed changes each child solve's
   /// start vector, so iteration counts and low-order spectral bits —
   /// and therefore Digest() — are comparable only at a fixed setting of
-  /// this flag (they stay invariant across threads, kernels and
-  /// block_size as always). Off = the per-child WarmStartFromParent
-  /// restriction, exactly the pre-batching behavior.
+  /// this flag (they stay invariant across threads and kernels as
+  /// always). Off = the per-child WarmStartFromParent restriction,
+  /// exactly the pre-batching behavior.
   bool batch_restrictions = true;
 
   /// Worker threads for sibling-subtree expansion. 0 runs the serial
@@ -216,6 +216,13 @@ struct RecursiveHierarchy {
   /// Overlapping covers can give several paths; a node in no root
   /// community gets none.
   std::vector<std::vector<uint32_t>> MembershipPaths(NodeId v) const;
+
+  /// The part of MembershipPaths(v) that starts at `root`, appended to
+  /// `paths`; `root` must be a root containing v. MembershipPaths(v) is
+  /// this over every root containing v, in `roots` order, so a caller
+  /// that already knows those roots skips the scan over all of them.
+  void AppendMembershipPaths(NodeId v, uint32_t root,
+                             std::vector<std::vector<uint32_t>>* paths) const;
 
   /// Per-depth rollup of the tree, index == depth.
   std::vector<RecursiveLevelSummary> LevelSummaries() const;

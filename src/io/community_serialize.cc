@@ -136,23 +136,26 @@ Result<uint64_t> WriteCommunityStore(const RecursiveHierarchy& tree,
     counts.child_entries += node.children.size();
   }
 
-  // Node -> root-community postings, ascending per node because roots
-  // are scanned in ascending arena order.
-  std::vector<uint32_t> sorted_roots(tree.roots.begin(), tree.roots.end());
-  std::sort(sorted_roots.begin(), sorted_roots.end());
+  // Node -> root-community postings, first in `tree.roots` order.
   std::vector<std::vector<uint32_t>> postings(num_nodes);
-  for (uint32_t r : sorted_roots) {
+  for (uint32_t r : tree.roots) {
     for (NodeId v : tree.nodes[r].community) postings[v].push_back(r);
     counts.posting_entries += tree.nodes[r].community.size();
   }
 
-  // Membership paths straight from the tree's own query, so the stored
-  // section is definitionally what MembershipPaths answers in memory.
+  // Membership paths from the tree's own descent, started only at the
+  // roots that contain v and in `tree.roots` order, so the stored
+  // section is definitionally what MembershipPaths answers in memory
+  // without scanning every root per node.
   std::vector<std::vector<std::vector<uint32_t>>> paths(num_nodes);
   for (uint64_t v = 0; v < num_nodes; ++v) {
-    paths[v] = tree.MembershipPaths(static_cast<NodeId>(v));
+    for (uint32_t r : postings[v]) {
+      tree.AppendMembershipPaths(static_cast<NodeId>(v), r, &paths[v]);
+    }
     counts.paths += paths[v].size();
     for (const auto& path : paths[v]) counts.path_entries += path.size();
+    // The stored postings are ascending per node.
+    std::sort(postings[v].begin(), postings[v].end());
   }
 
   const std::vector<RecursiveLevelSummary> levels = tree.LevelSummaries();

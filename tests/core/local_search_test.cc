@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "gen/erdos_renyi.h"
 #include "spectral/extreme_eigen.h"
 #include "testing/test_graphs.h"
@@ -19,6 +22,18 @@ LocalSearchOptions LaplacianOptions(double c) {
   opt.fitness.kind = FitnessKind::kDirectedLaplacian;
   opt.fitness.c = c;
   return opt;
+}
+
+/// Hub node 0 joined to every node of three disjoint 12-cliques.
+Graph CliquesAroundHub() {
+  std::vector<Edge> edges;
+  for (NodeId base = 1; base < 37; base += 12) {
+    for (NodeId u = base; u < base + 12; ++u) {
+      edges.push_back({0, u});
+      for (NodeId v = u + 1; v < base + 12; ++v) edges.push_back({u, v});
+    }
+  }
+  return BuildGraph(37, edges).value();
 }
 
 TEST(LocalSearchTest, RecoversCliqueFromOneNode) {
@@ -144,6 +159,43 @@ TEST(LocalSearchTest, DeterministicForFixedSeedSet) {
   auto b = GreedyLocalSearch(g, {11, 10}, LaplacianOptions(c)).value();
   EXPECT_EQ(a.community, b.community);
   EXPECT_EQ(a.fitness, b.fitness);
+}
+
+TEST(LocalSearchTest, FastClimberMatchesGenericAfterLowDegreeClimb) {
+  // The fast climber's bucket queues live in per-thread scratch and grow
+  // on demand. On a fresh thread, a climb on a cycle (keys <= 2) leaves
+  // only a few buckets; the hub-graph climbs that follow insert keys far
+  // past them and must still reach the generic climber's maxima.
+  Graph cycle = testing::Cycle(12);
+  Graph hub = CliquesAroundHub();
+  LocalSearchOptions fast = LaplacianOptions(0.3);
+  LocalSearchOptions generic = fast;
+  generic.force_generic_climber = true;
+  std::vector<LocalSearchResult> fast_results;
+  std::thread([&] {
+    GreedyLocalSearch(cycle, {0}, fast).value();
+    for (NodeId seed = 0; seed < hub.num_nodes(); ++seed) {
+      fast_results.push_back(GreedyLocalSearch(hub, {seed}, fast).value());
+    }
+  }).join();
+  ASSERT_EQ(fast_results.size(), hub.num_nodes());
+  size_t largest = 0;
+  for (NodeId seed = 0; seed < hub.num_nodes(); ++seed) {
+    auto reference = GreedyLocalSearch(hub, {seed}, generic).value();
+    // From the hub itself the three cliques tie exactly, and the two
+    // climbers break that tie differently (see GreedyLocalSearch): the
+    // maxima are symmetric images with equal fitness and step counts.
+    if (seed != 0) {
+      EXPECT_EQ(fast_results[seed].community, reference.community)
+          << "seed " << seed;
+    }
+    EXPECT_EQ(fast_results[seed].fitness, reference.fitness)
+        << "seed " << seed;
+    EXPECT_EQ(fast_results[seed].steps, reference.steps) << "seed " << seed;
+    largest = std::max(largest, reference.community.size());
+  }
+  // Deg-in keys reach largest - 1, well past the cycle's.
+  EXPECT_GE(largest, 12u);
 }
 
 // Parameterized: for random graphs and several c values, the returned
