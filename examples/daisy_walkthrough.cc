@@ -60,6 +60,10 @@ int main(int argc, char** argv) {
   daisy.alpha = 0.85;
   daisy.beta = 0.85;
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 3).value_or(3));
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
 
   oca::Rng rng(seed);
   auto bench_result = oca::GenerateDaisy(daisy, &rng);

@@ -74,6 +74,10 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
   const size_t threads =
       static_cast<size_t>(flags.GetInt("threads", 1).value_or(1));
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
 
   auto loaded = oca::ReadSnapFile(path);
   if (!loaded.ok()) {

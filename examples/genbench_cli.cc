@@ -36,6 +36,24 @@ int main(int argc, char** argv) {
 
   std::string family = flags.GetString("family", "");
   std::string graph_path = flags.GetString("graph", "");
+  const std::string truth_path = flags.GetString("truth", "");
+  const uint64_t seed =
+      static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
+  const size_t nodes =
+      static_cast<size_t>(flags.GetInt("nodes", 10000).value_or(10000));
+  const auto mu = flags.GetDouble("mu", 0.3);
+  const auto avg = flags.GetDouble("avg-degree", 20.0);
+  const auto overlap_nodes = static_cast<size_t>(
+      flags.GetInt("overlap-nodes", 0).value_or(0));
+  const auto overlap_memberships = static_cast<uint32_t>(
+      flags.GetInt("overlap-memberships", 2).value_or(2));
+  const auto edges_per_node = static_cast<size_t>(
+      flags.GetInt("edges-per-node", 5).value_or(5));
+  const auto p = flags.GetDouble("p", 0.001);
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (family.empty() || graph_path.empty()) {
     std::fprintf(stderr,
                  "usage: genbench_cli --family=lfr|daisy|ba|er|wikipedia "
@@ -45,10 +63,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
-  size_t nodes =
-      static_cast<size_t>(flags.GetInt("nodes", 10000).value_or(10000));
-
   oca::Graph graph;
   oca::Cover truth;
   bool has_truth = false;
@@ -57,17 +71,13 @@ int main(int argc, char** argv) {
     oca::LfrOptions opt;
     opt.num_nodes = nodes;
     opt.seed = seed;
-    auto mu = flags.GetDouble("mu", 0.3);
-    auto avg = flags.GetDouble("avg-degree", 20.0);
     if (!mu.ok()) return Fail(mu.status());
     if (!avg.ok()) return Fail(avg.status());
     opt.mixing = mu.value();
     opt.average_degree = avg.value();
     opt.max_degree = static_cast<uint32_t>(avg.value() * 2.5);
-    opt.overlapping_nodes = static_cast<size_t>(
-        flags.GetInt("overlap-nodes", 0).value_or(0));
-    opt.overlap_memberships = static_cast<uint32_t>(
-        flags.GetInt("overlap-memberships", 2).value_or(2));
+    opt.overlapping_nodes = overlap_nodes;
+    opt.overlap_memberships = overlap_memberships;
     auto bench = oca::GenerateLfr(opt);
     if (!bench.ok()) return Fail(bench.status());
     graph = std::move(bench.value().graph);
@@ -87,14 +97,11 @@ int main(int argc, char** argv) {
     has_truth = true;
   } else if (family == "ba") {
     oca::Rng rng(seed);
-    size_t m = static_cast<size_t>(
-        flags.GetInt("edges-per-node", 5).value_or(5));
-    auto g = oca::BarabasiAlbert(nodes, m, &rng);
+    auto g = oca::BarabasiAlbert(nodes, edges_per_node, &rng);
     if (!g.ok()) return Fail(g.status());
     graph = std::move(g).value();
   } else if (family == "er") {
     oca::Rng rng(seed);
-    auto p = flags.GetDouble("p", 0.001);
     if (!p.ok()) return Fail(p.status());
     auto g = oca::ErdosRenyi(nodes, p.value(), &rng);
     if (!g.ok()) return Fail(g.status());
@@ -121,7 +128,6 @@ int main(int argc, char** argv) {
   }
   std::printf("graph written to %s\n", graph_path.c_str());
 
-  std::string truth_path = flags.GetString("truth", "");
   if (!truth_path.empty()) {
     if (!has_truth) {
       std::fprintf(stderr, "family '%s' has no ground truth\n",

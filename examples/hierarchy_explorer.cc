@@ -73,6 +73,15 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("subs", 3).value_or(3));
   gen.nodes_per_sub =
       static_cast<size_t>(flags.GetInt("sub_size", 20).value_or(20));
+  const std::string reorder = flags.GetString("reorder", "none");
+  const bool cold = flags.GetBool("cold", false);
+  const bool no_batch = flags.GetBool("no_batch", false);
+  const long threads_flag = flags.GetInt("threads", 0).value_or(0);
+  const long node_flag = flags.GetInt("node", -1).value_or(-1);
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   // The interesting regime: strong blocks, moderate super glue, and
   // enough cross-super noise that the top-level run mixes scales — the
   // recursive descent then refines the coarse communities into their
@@ -129,7 +138,6 @@ int main(int argc, char** argv) {
   // Optionally on a cache-reordered copy: the spectral mat-vecs run on
   // the relabeled CSR, and the finished tree is mapped back to original
   // ids below, so everything printed stays comparable.
-  const std::string reorder = flags.GetString("reorder", "none");
   oca::Graph work = graph;
   if (reorder != "none") {
     oca::NodeOrdering ordering;
@@ -155,9 +163,8 @@ int main(int argc, char** argv) {
 
   oca::RecursiveHierarchyOptions rec;
   rec.base = flat.base;
-  rec.warm_start = !flags.GetBool("cold", false);
-  rec.batch_restrictions = !flags.GetBool("no_batch", false);
-  long threads_flag = flags.GetInt("threads", 0).value_or(0);
+  rec.warm_start = !cold;
+  rec.batch_restrictions = !no_batch;
   rec.num_threads =
       threads_flag > 0 ? static_cast<size_t>(threads_flag) : 0;
 
@@ -198,7 +205,6 @@ int main(int argc, char** argv) {
                 level.spectral_iterations);
   }
 
-  long node_flag = flags.GetInt("node", -1).value_or(-1);
   if (node_flag >= 0 &&
       static_cast<size_t>(node_flag) < graph.num_nodes()) {
     auto v = static_cast<oca::NodeId>(node_flag);

@@ -37,6 +37,19 @@ int main(int argc, char** argv) {
   if (auto s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
 
   std::string input = flags.GetString("input", "");
+  const uint64_t seed =
+      static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
+  const std::string algorithm = flags.GetString("algorithm", "oca");
+  const size_t threads =
+      static_cast<size_t>(flags.GetInt("threads", 1).value_or(1));
+  const auto alpha = flags.GetDouble("alpha", 1.0);
+  const auto k = static_cast<uint32_t>(flags.GetInt("k", 3).value_or(3));
+  const std::string output = flags.GetString("output", "");
+  const std::string truth_path = flags.GetString("truth", "");
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (input.empty()) {
     std::fprintf(stderr,
                  "usage: oca_cli --input=<edge list> [--output=<cover>] "
@@ -54,16 +67,12 @@ int main(int argc, char** argv) {
               oca::FormatDuration(load_timer.ElapsedSeconds()).c_str(),
               oca::ComputeDegreeStats(graph).ToString().c_str());
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
-  std::string algorithm = flags.GetString("algorithm", "oca");
-
   oca::Timer run_timer;
   oca::Cover cover;
   if (algorithm == "oca") {
     oca::OcaOptions opt;
     opt.seed = seed;
-    opt.num_threads =
-        static_cast<size_t>(flags.GetInt("threads", 1).value_or(1));
+    opt.num_threads = threads;
     opt.halting.max_seeds = graph.num_nodes();
     opt.halting.target_coverage = 0.95;
     opt.halting.stagnation_window = 200;
@@ -77,7 +86,6 @@ int main(int argc, char** argv) {
   } else if (algorithm == "lfk") {
     oca::LfkOptions opt;
     opt.seed = seed;
-    auto alpha = flags.GetDouble("alpha", 1.0);
     if (!alpha.ok()) return Fail(alpha.status());
     opt.alpha = alpha.value();
     auto run = oca::RunLfk(graph, opt);
@@ -85,7 +93,7 @@ int main(int argc, char** argv) {
     cover = std::move(run.value().cover);
   } else if (algorithm == "cfinder") {
     oca::CfinderOptions opt;
-    opt.k = static_cast<uint32_t>(flags.GetInt("k", 3).value_or(3));
+    opt.k = k;
     opt.max_cliques = 10000000;
     auto run = oca::RunCfinder(graph, opt);
     if (!run.ok()) return Fail(run.status());
@@ -116,7 +124,6 @@ int main(int argc, char** argv) {
     cover = std::move(remapped);
   }
 
-  std::string output = flags.GetString("output", "");
   if (!output.empty()) {
     if (auto s = oca::WriteCoverFile(cover, output); !s.ok()) {
       return Fail(s.status());
@@ -124,7 +131,6 @@ int main(int argc, char** argv) {
     std::printf("cover written to %s\n", output.c_str());
   }
 
-  std::string truth_path = flags.GetString("truth", "");
   if (!truth_path.empty()) {
     auto truth = oca::ReadCoverFile(truth_path);
     if (!truth.ok()) return Fail(truth.status());

@@ -37,6 +37,18 @@ int main(int argc, char** argv) {
   if (auto s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
 
   std::string store_path = flags.GetString("store", "");
+  oca::StoreServerOptions options;
+  options.port =
+      static_cast<uint16_t>(flags.GetInt("port", 0).value_or(0));
+  options.num_threads =
+      static_cast<size_t>(flags.GetInt("threads", 4).value_or(4));
+  options.request_timeout_ms =
+      static_cast<int>(flags.GetInt("timeout_ms", 5000).value_or(5000));
+  const std::string port_file = flags.GetString("port_file", "");
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (store_path.empty()) {
     std::fprintf(stderr,
                  "usage: oca_serve --store=<file.ocac> [--port=0] "
@@ -51,14 +63,6 @@ int main(int argc, char** argv) {
               " communities, %" PRIu64 " levels\n",
               store_path.c_str(), meta.num_nodes, meta.num_communities,
               meta.num_levels);
-
-  oca::StoreServerOptions options;
-  options.port =
-      static_cast<uint16_t>(flags.GetInt("port", 0).value_or(0));
-  options.num_threads =
-      static_cast<size_t>(flags.GetInt("threads", 4).value_or(4));
-  options.request_timeout_ms =
-      static_cast<int>(flags.GetInt("timeout_ms", 5000).value_or(5000));
 
   // Block the termination signals BEFORE starting the server so every
   // thread it spawns inherits the mask; the main thread then consumes
@@ -75,7 +79,6 @@ int main(int argc, char** argv) {
               server.value()->port());
   std::fflush(stdout);
 
-  std::string port_file = flags.GetString("port_file", "");
   if (!port_file.empty()) {
     if (std::FILE* f = std::fopen(port_file.c_str(), "w")) {
       std::fprintf(f, "%u\n", server.value()->port());

@@ -95,23 +95,29 @@ int main(int argc, char** argv) {
   const bool generate = flags.GetBool("generate", true);
   const int64_t as_delta_mb =
       flags.GetInt("rlimit_as_delta_mb", 0).value();
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1).value());
+  const auto threads =
+      static_cast<size_t>(flags.GetInt("threads", 0).value());
+  oca::StreamingGeneratorOptions gen;
+  gen.num_nodes = nodes;
+  gen.gamma = flags.GetDouble("gamma", 2.5).value();
+  gen.min_degree =
+      static_cast<uint64_t>(flags.GetInt("min_degree", 2).value());
+  gen.max_degree =
+      static_cast<uint64_t>(flags.GetInt("max_degree", 0).value());
+  gen.swaps_per_edge = flags.GetDouble("swaps_per_edge", 1.0).value();
+  gen.seed = seed;
+  gen.buffer_bytes =
+      static_cast<size_t>(flags.GetInt("buffer_mb", 8).value()) << 20;
+  gen.keep_intermediates = flags.GetBool("keep_intermediates", false);
+  if (oca::Status s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
 
   const std::string graph_path = prefix + ".ocag";
 
   if (generate) {
-    oca::StreamingGeneratorOptions gen;
-    gen.num_nodes = nodes;
-    gen.gamma = flags.GetDouble("gamma", 2.5).value();
-    gen.min_degree =
-        static_cast<uint64_t>(flags.GetInt("min_degree", 2).value());
-    gen.max_degree =
-        static_cast<uint64_t>(flags.GetInt("max_degree", 0).value());
-    gen.swaps_per_edge = flags.GetDouble("swaps_per_edge", 1.0).value();
-    gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 1).value());
-    gen.buffer_bytes =
-        static_cast<size_t>(flags.GetInt("buffer_mb", 8).value()) << 20;
-    gen.keep_intermediates = flags.GetBool("keep_intermediates", false);
-
     // Cap address-space growth for the duration of the generate+build
     // phase: soft limit only, so we can raise it back for the mmap.
     struct rlimit saved;
@@ -168,13 +174,11 @@ int main(int argc, char** argv) {
   }
   if (analyze == "hierarchy") {
     oca::RecursiveHierarchyOptions options;
-    options.base.seed =
-        static_cast<uint64_t>(flags.GetInt("seed", 1).value());
+    options.base.seed = seed;
     options.base.halting.max_seeds = 500;
     options.base.halting.target_coverage = 0.97;
     options.base.halting.stagnation_window = 120;
-    options.num_threads =
-        static_cast<size_t>(flags.GetInt("threads", 0).value());
+    options.num_threads = threads;
     oca::Timer timer;
     auto tree = oca::BuildRecursiveHierarchy(graph, options);
     if (!tree.ok()) return Fail(tree.status(), "hierarchy");

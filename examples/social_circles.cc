@@ -71,6 +71,10 @@ int main(int argc, char** argv) {
   }
   uint64_t seed =
       static_cast<uint64_t>(flags.GetInt("seed", 7).value_or(7));
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
 
   SocialNetwork net = MakeNetwork(seed);
   std::printf("social network: %zu people, %zu ties, 3 planted circles "

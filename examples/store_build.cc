@@ -101,6 +101,20 @@ int main(int argc, char** argv) {
   if (auto s = flags.Parse(argc, argv); !s.ok()) return Fail(s);
 
   std::string out = flags.GetString("out", "");
+  oca::NestedPartitionOptions gen;
+  gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 7).value_or(7));
+  gen.num_supers = static_cast<size_t>(flags.GetInt("supers", 6).value_or(6));
+  gen.subs_per_super =
+      static_cast<size_t>(flags.GetInt("subs", 4).value_or(4));
+  gen.nodes_per_sub =
+      static_cast<size_t>(flags.GetInt("sub_size", 40).value_or(40));
+  const auto threads =
+      static_cast<size_t>(flags.GetInt("threads", 0).value_or(0));
+  const bool verify = flags.GetBool("verify", false);
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (out.empty()) {
     std::fprintf(stderr,
                  "usage: store_build --out=<file.ocac> [--seed=7] "
@@ -109,13 +123,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  oca::NestedPartitionOptions gen;
-  gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 7).value_or(7));
-  gen.num_supers = static_cast<size_t>(flags.GetInt("supers", 6).value_or(6));
-  gen.subs_per_super =
-      static_cast<size_t>(flags.GetInt("subs", 4).value_or(4));
-  gen.nodes_per_sub =
-      static_cast<size_t>(flags.GetInt("sub_size", 40).value_or(40));
   gen.p_sub = 0.85;
   gen.p_super = 0.15;
   gen.p_out = 0.08;
@@ -131,8 +138,7 @@ int main(int argc, char** argv) {
   rec.base.halting.max_seeds = graph.num_nodes() * 3;
   rec.base.halting.target_coverage = 0.98;
   rec.base.halting.stagnation_window = 150;
-  rec.num_threads =
-      static_cast<size_t>(flags.GetInt("threads", 0).value_or(0));
+  rec.num_threads = threads;
 
   auto built = oca::BuildRecursiveHierarchy(graph, rec);
   if (!built.ok()) return Fail(built.status());
@@ -147,7 +153,7 @@ int main(int argc, char** argv) {
               written.value());
   std::printf("tree digest: %016" PRIx64 "\n", tree.Digest());
 
-  if (flags.GetBool("verify", false)) {
+  if (verify) {
     auto store = oca::CommunityStore::Open(out);
     if (!store.ok()) return Fail(store.status());
     if (!VerifyStore(store.value(), tree, graph.num_nodes())) return 1;

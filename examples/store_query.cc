@@ -86,6 +86,11 @@ int main(int argc, char** argv) {
   std::string host = flags.GetString("host", "");
   std::string req = flags.GetString("req", "");
   bool dump = flags.GetBool("dump", false);
+  auto port = flags.GetInt("port", 0);
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if ((store_path.empty() == host.empty()) || (req.empty() && !dump)) {
     std::fprintf(stderr,
                  "usage: store_query (--store=<file.ocac> | --host=<ip> "
@@ -122,7 +127,6 @@ int main(int argc, char** argv) {
       return oca::ParseStoreResponse(line_view);
     };
   } else {
-    auto port = flags.GetInt("port", 0);
     if (!port.ok() || port.value() <= 0 || port.value() > 65535) {
       std::fprintf(stderr, "remote mode needs --port=<1..65535>\n");
       return 2;

@@ -28,6 +28,12 @@ int main(int argc, char** argv) {
       flags.GetInt("nodes", 200000).value_or(200000));
   gen.num_topics = gen.num_nodes / 500;
   gen.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value_or(42));
+  const auto threads = static_cast<size_t>(
+      flags.GetInt("threads", 0).value_or(0));  // 0 = hardware
+  if (auto s = flags.CheckAllRead(); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
 
   std::printf("generating Wikipedia surrogate (%zu nodes)...\n",
               gen.num_nodes);
@@ -48,8 +54,7 @@ int main(int argc, char** argv) {
 
   oca::OcaOptions opt;
   opt.seed = gen.seed;
-  opt.num_threads = static_cast<size_t>(
-      flags.GetInt("threads", 0).value_or(0));  // 0 = hardware
+  opt.num_threads = threads;
   opt.halting.max_seeds = gen.num_nodes / 100;
   opt.halting.target_coverage = 0.5;  // topics cover a minority of nodes
   opt.halting.stagnation_window = 500;

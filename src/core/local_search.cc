@@ -1,6 +1,7 @@
 #include "core/local_search.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -333,9 +334,8 @@ constexpr uint32_t kWeightBuckets = 1024;
 /// Per-thread reusable state for WeightedFastClimb. On top of the
 /// integer scratch it carries the weighted deg-ins, the per-graph
 /// weighted-degree table, and the quantization scale — the latter two
-/// cached across climbs keyed on the graph's weight storage identity,
-/// so the O(n + m) precompute runs once per (thread, graph), not once
-/// per seed.
+/// cached across climbs keyed on Graph::storage_id(), so the O(n + m)
+/// precompute runs once per (thread, graph), not once per seed.
 struct WeightedClimbScratch {
   std::vector<uint32_t> deg_in;
   std::vector<double> w_deg_in;
@@ -344,11 +344,9 @@ struct WeightedClimbScratch {
   BucketQueue members;       // members, key = q(w_deg_in)
   double inv_quantum = 0.0;
 
-  // Identity of the graph the caches were built for. The weight span's
-  // data pointer and length pin the storage; CSR arrays are immutable
-  // after construction, so equality means "same weights".
-  const double* cached_weights = nullptr;
-  size_t cached_num_weights = 0;
+  // Graph::storage_id() of the graph the caches were built for; 0 is
+  // never issued.
+  uint64_t cached_graph = 0;
 
   void Configure(const Graph& graph) {
     size_t n = graph.num_nodes();
@@ -357,9 +355,7 @@ struct WeightedClimbScratch {
     frontier.Configure(n);
     members.Configure(n);
 
-    auto weights = graph.weight_array();
-    if (weights.data() == cached_weights &&
-        weights.size() == cached_num_weights && wdeg.size() == n) {
+    if (graph.storage_id() == cached_graph) {
       return;  // same graph as the previous climb on this thread
     }
     wdeg.assign(n, 0.0);
@@ -375,8 +371,7 @@ struct WeightedClimbScratch {
     // float accumulation overshoot.
     inv_quantum =
         max_wdeg > 0.0 ? (kWeightBuckets - 1) / max_wdeg : 0.0;
-    cached_weights = weights.data();
-    cached_num_weights = weights.size();
+    cached_graph = graph.storage_id();
   }
 
   /// Monotone map from a weighted deg-in to its bucket. Non-positive
@@ -645,6 +640,12 @@ Result<LocalSearchResult> GreedyLocalSearch(
     const LocalSearchOptions& options) {
   if (seed_set.empty()) {
     return Status::InvalidArgument("local search needs a non-empty seed set");
+  }
+  // A negative epsilon accepts worsening moves, so an add and a removal
+  // can undo each other forever.
+  if (!(options.epsilon >= 0.0) || !std::isfinite(options.epsilon)) {
+    return Status::InvalidArgument(
+        "local search epsilon must be finite and >= 0");
   }
   Community seed = seed_set;
   std::sort(seed.begin(), seed.end());

@@ -20,7 +20,8 @@ namespace oca {
 struct LocalSearchOptions {
   FitnessParams fitness;
   /// A move must improve fitness by more than this to be taken (guards
-  /// against floating-point plateaus causing add/remove cycles).
+  /// against floating-point plateaus causing add/remove cycles). Must be
+  /// finite and >= 0; GreedyLocalSearch rejects anything else.
   double epsilon = 1e-9;
   /// Hard cap on greedy steps (0 = no cap). A safety valve only; the
   /// strictly increasing fitness already guarantees termination.

@@ -147,7 +147,9 @@ Result<OcaResult> RunOca(const Graph& graph, const OcaOptions& options) {
       break;
     }
 
-    auto expansions = ExpandSeedBatch(graph, seed_sets, search, pool.get());
+    OCA_ASSIGN_OR_RETURN(
+        std::vector<LocalSearchResult> expansions,
+        ExpandSeedBatch(graph, seed_sets, search, pool.get()));
 
     for (auto& expansion : expansions) {
       // A seed is "novel" for the stagnation criterion only when its

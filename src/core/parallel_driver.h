@@ -9,15 +9,16 @@
 #include <vector>
 
 #include "core/local_search.h"
+#include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace oca {
 
 /// Expands every seed set in `seed_sets` with GreedyLocalSearch, using
 /// `pool` when non-null (otherwise serial). Returns one result per input
-/// slot, in order. Failed expansions (invalid seed sets) yield empty
-/// communities rather than aborting the batch.
-std::vector<LocalSearchResult> ExpandSeedBatch(
+/// slot, in order, or the error of the lowest-indexed failed climb, so a
+/// serial and a threaded run report the same error.
+Result<std::vector<LocalSearchResult>> ExpandSeedBatch(
     const Graph& graph, const std::vector<Community>& seed_sets,
     const LocalSearchOptions& options, ThreadPool* pool);
 

@@ -1,8 +1,14 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace oca {
+
+uint64_t Graph::NextStorageId() {
+  static std::atomic<uint64_t> next{1};
+  return next++;
+}
 
 bool Graph::HasEdge(NodeId u, NodeId v) const {
   if (u >= num_nodes() || v >= num_nodes()) return false;

@@ -149,6 +149,7 @@ class Graph {
       neighbors_view_ = other.neighbors_view_;
       weights_view_ = other.weights_view_;
       if (!backing_) RebindOwnedViews();
+      storage_id_ = NextStorageId();
     }
     return *this;
   }
@@ -175,6 +176,7 @@ class Graph {
       neighbors_view_ = other.neighbors_view_;
       weights_view_ = other.weights_view_;
       if (!backing_) RebindOwnedViews();
+      storage_id_ = NextStorageId();
       other.ResetToEmpty();
     }
     return *this;
@@ -305,6 +307,13 @@ class Graph {
   /// mmap'd graph file) instead of owned heap vectors.
   bool is_mapped() const { return backing_ != nullptr; }
 
+  /// Identity of this graph's contents for caches keyed on a graph. Each
+  /// construction, assignment and move-from draws a value never used
+  /// before. Array addresses cannot serve: a vector assigned in place
+  /// keeps its buffer, and a freed buffer's address goes to a later
+  /// graph of the same shape.
+  uint64_t storage_id() const { return storage_id_; }
+
   /// Estimated HEAP-resident memory in bytes. For the mapped backend
   /// this counts only the owned side tables (original_ids) — the CSR
   /// arrays are file pages the OS can drop and refetch at will.
@@ -328,7 +337,9 @@ class Graph {
     original_ids_.clear();
     backing_.reset();
     RebindOwnedViews();
+    storage_id_ = NextStorageId();
   }
+  static uint64_t NextStorageId();
 
   std::vector<uint64_t> offsets_;   // n+1 prefix offsets (in-memory backend)
   std::vector<NodeId> neighbors_;   // concatenated sorted adjacency lists
@@ -338,6 +349,7 @@ class Graph {
   std::span<const uint64_t> offsets_view_;   // the arrays every accessor reads
   std::span<const NodeId> neighbors_view_;
   std::span<const double> weights_view_;
+  uint64_t storage_id_ = NextStorageId();
 };
 
 }  // namespace oca

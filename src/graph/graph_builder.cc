@@ -172,33 +172,43 @@ Result<Graph> GraphBuilder::Build() const {
   }
 
   if (weights_.empty()) {
-    // Unweighted: the historical path, untouched so weightless builds
-    // stay bit-for-bit what they always were.
-    std::vector<Edge> sorted = edges_;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-    // Two-pass CSR assembly: count degrees, then scatter both directions.
+    // Unweighted: scatter both directions of every insertion (duplicates
+    // included) into per-node rows, then sort, dedupe and compact each
+    // row. A row ends up holding exactly the sorted distinct neighbours,
+    // so the graph is the same pure function of the edge set as a global
+    // sort + unique would give, without copying or sorting edges_.
     std::vector<uint64_t> offsets(num_nodes_ + 1, 0);
-    for (const auto& [u, v] : sorted) {
+    for (const auto& [u, v] : edges_) {
       ++offsets[u + 1];
       ++offsets[v + 1];
     }
     for (size_t i = 1; i <= num_nodes_; ++i) {
       offsets[i] += offsets[i - 1];
     }
-    std::vector<NodeId> neighbors(sorted.size() * 2);
+    std::vector<NodeId> neighbors(edges_.size() * 2);
     std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const auto& [u, v] : sorted) {
+    for (const auto& [u, v] : edges_) {
       neighbors[cursor[u]++] = v;
       neighbors[cursor[v]++] = u;
     }
-    // Scattering from a (u,v)-sorted list leaves each u-list sorted
-    // already, but v-side insertions interleave; sort each list to
-    // guarantee order.
+    // Rows only move toward the front, so compaction is in place; each
+    // row's bounds are read before offsets[i] is overwritten.
+    uint64_t kept = 0;
     for (size_t i = 0; i < num_nodes_; ++i) {
-      std::sort(neighbors.begin() + static_cast<ptrdiff_t>(offsets[i]),
-                neighbors.begin() + static_cast<ptrdiff_t>(offsets[i + 1]));
+      const auto first = neighbors.begin() + static_cast<ptrdiff_t>(offsets[i]);
+      const auto last =
+          neighbors.begin() + static_cast<ptrdiff_t>(offsets[i + 1]);
+      std::sort(first, last);
+      const auto unique_end = std::unique(first, last);
+      offsets[i] = kept;
+      const auto dest = neighbors.begin() + static_cast<ptrdiff_t>(kept);
+      if (dest != first) std::copy(first, unique_end, dest);
+      kept += static_cast<uint64_t>(unique_end - first);
+    }
+    offsets[num_nodes_] = kept;
+    if (kept < neighbors.size()) {
+      neighbors.resize(kept);
+      neighbors.shrink_to_fit();
     }
     return Graph(std::move(offsets), std::move(neighbors));
   }

@@ -12,8 +12,8 @@
 // collapse deterministically. The sum is taken in (u, v, w)-sorted
 // order, so the built graph is a pure function of the weighted edge
 // MULTISET, independent of insertion order. A builder that never saw a
-// weighted edge produces a weightless Graph through exactly the
-// historical code path.
+// weighted edge produces a weightless Graph whose CSR arrays are a pure
+// function of the edge SET: each row is the sorted, distinct neighbours.
 
 #ifndef OCA_GRAPH_GRAPH_BUILDER_H_
 #define OCA_GRAPH_GRAPH_BUILDER_H_

@@ -1,52 +1,39 @@
 #include "io/edge_list.h"
 
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "graph/graph_builder.h"
+#include "io/text_scan.h"
 
 namespace oca {
 
 Result<LoadedGraph> ReadEdgeListStream(std::istream& in) {
-  std::unordered_map<uint64_t, NodeId> dense;
-  std::vector<uint64_t> original_ids;
-  std::vector<Edge> edges;
-
-  auto intern = [&](uint64_t raw) -> NodeId {
-    auto [it, inserted] = dense.try_emplace(
-        raw, static_cast<NodeId>(original_ids.size()));
-    if (inserted) original_ids.push_back(raw);
-    return it->second;
-  };
-
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
+  internal::LineScanner lines(in);
+  internal::IdInterner ids;
+  GraphBuilder builder(0);
+  while (lines.Next()) {
+    const std::string_view line = lines.line();
+    if (internal::IsSkippedLine(line)) continue;
     uint64_t a = 0, b = 0;
-    if (!(ls >> a >> b)) {
-      return Status::IOError("malformed edge at line " +
-                             std::to_string(line_no) + ": '" + line + "'");
+    if (internal::ParseEdgePair(line, &a, &b) == nullptr) {
+      return internal::LineError("malformed edge", lines.line_no(), line);
     }
     // Sequence the interning: function-argument evaluation order is
     // unspecified, and first-seen id assignment must follow text order.
-    NodeId ua = intern(a);
-    NodeId ub = intern(b);
-    edges.emplace_back(ua, ub);
+    const NodeId ua = ids.Intern(a);
+    const NodeId ub = ids.Intern(b);
+    builder.AddEdge(ua, ub);
   }
-
-  GraphBuilder builder(original_ids.size());
-  for (auto& [u, v] : edges) builder.AddEdge(u, v);
+  OCA_RETURN_IF_ERROR(lines.status());
+  builder.EnsureNodes(ids.size());
   OCA_ASSIGN_OR_RETURN(Graph graph, builder.Build());
-  return LoadedGraph{std::move(graph), std::move(original_ids)};
+  return LoadedGraph{std::move(graph), ids.TakeOriginalIds()};
 }
 
 Result<LoadedGraph> ReadEdgeListFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }

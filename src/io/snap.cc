@@ -1,13 +1,14 @@
 #include "io/snap.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "graph/graph_builder.h"
+#include "io/text_scan.h"
 
 namespace oca {
 
@@ -22,52 +23,48 @@ struct RawEdge {
 }  // namespace
 
 Result<SnapGraph> ReadSnapStream(std::istream& in, const SnapOptions& options) {
-  std::unordered_map<uint64_t, NodeId> dense;
-  std::vector<uint64_t> original_ids;
+  internal::LineScanner lines(in);
+  internal::IdInterner ids;
   std::vector<RawEdge> edges;
   SnapGraph out;
 
-  auto intern = [&](uint64_t raw) -> NodeId {
-    auto [it, inserted] =
-        dense.try_emplace(raw, static_cast<NodeId>(original_ids.size()));
-    if (inserted) original_ids.push_back(raw);
-    return it->second;
-  };
-
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  while (lines.Next()) {
     ++out.lines_total;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
+    const std::string_view line = lines.line();
+    if (internal::IsSkippedLine(line)) continue;
     uint64_t a = 0, b = 0;
-    if (!(ls >> a >> b)) {
-      return Status::IOError("malformed edge at line " +
-                             std::to_string(line_no) + ": '" + line + "'");
+    const char* p = internal::ParseEdgePair(line, &a, &b);
+    if (p == nullptr) {
+      return internal::LineError("malformed edge", lines.line_no(), line);
     }
+    const char* end = line.data() + line.size();
+    const char* q = internal::SkipBlanks(p, end);
     double w = 1.0;
-    if (ls >> w) {
+    if (q != end) {
+      // The weight needs a blank before it: "1 23.5" is not (1, 23, .5).
+      if (q == p ||
+          std::from_chars(q + (*q == '+'), end, w).ec != std::errc()) {
+        return internal::LineError("malformed weight", lines.line_no(), line);
+      }
       if (!std::isfinite(w) || w <= 0.0) {
         return Status::IOError("edge weight must be finite and > 0 at line " +
-                               std::to_string(line_no));
+                               std::to_string(lines.line_no()));
       }
       out.weighted = true;
-    } else if (!ls.eof()) {
-      return Status::IOError("malformed weight at line " +
-                             std::to_string(line_no) + ": '" + line + "'");
     }
     ++out.edges_listed;
     // Sequence the interning: function-argument evaluation order is
     // unspecified, and first-seen id assignment must follow text order.
-    NodeId ua = intern(a);
-    NodeId ub = intern(b);
+    const NodeId ua = ids.Intern(a);
+    const NodeId ub = ids.Intern(b);
     if (ua == ub) {
       ++out.self_loops_dropped;
       continue;
     }
     edges.push_back({ua, ub, w});
   }
+  OCA_RETURN_IF_ERROR(lines.status());
+  std::vector<uint64_t> original_ids = ids.TakeOriginalIds();
 
   GraphBuilder builder(original_ids.size());
   if (!out.weighted) {
@@ -107,7 +104,7 @@ Result<SnapGraph> ReadSnapStream(std::istream& in, const SnapOptions& options) {
 
 Result<SnapGraph> ReadSnapFile(const std::string& path,
                                const SnapOptions& options) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }

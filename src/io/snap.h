@@ -2,11 +2,17 @@
 // collection (ego-Facebook, com-Amazon, ...), which is what the paper's
 // Table 1 evaluates on.
 //
-//   - '#' (and '%') lines are comments, including the "Nodes: N
-//     Edges: M" header hints (which count directed arcs in many
-//     releases and so are not trusted)
-//   - one edge per line: "<u> <v> [w]" — an optional third column is a
-//     positive edge weight; lines without it default to 1.0
+//   - the line, comment, id and blank rules of edge_list.h; '#' and '%'
+//     comments include the "Nodes: N Edges: M" header hints (which count
+//     directed arcs in many releases and so are not trusted)
+//   - one edge per line, with an optional weight column:
+//       edge   := blank* id blank+ id (blank* | blank+ weight rest)
+//       weight := '+'? a decimal floating-point number as std::from_chars
+//                 reads it (e.g. "2", "0.5", ".5", "1e-3"), finite and > 0
+//       rest   := any bytes, ignored
+//     Lines without a weight count 1.0. Anything else after the second
+//     id, a non-finite or non-positive weight, or one out of double
+//     range is an IOError naming the line
 //   - node ids are sparse and are interned densely in first-appearance
 //     order (same policy as edge_list.h)
 //   - SNAP directed releases list both orientations of reciprocated

@@ -30,19 +30,25 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
   return Status::OK();
 }
 
+std::map<std::string, std::string>::const_iterator FlagParser::Find(
+    const std::string& name) const {
+  read_.insert(name);
+  return flags_.find(name);
+}
+
 bool FlagParser::Has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return Find(name) != flags_.end();
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   return it == flags_.end() ? default_value : it->second;
 }
 
 Result<int64_t> FlagParser::GetInt(const std::string& name,
                                    int64_t default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
@@ -55,7 +61,7 @@ Result<int64_t> FlagParser::GetInt(const std::string& name,
 
 Result<double> FlagParser::GetDouble(const std::string& name,
                                      double default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
@@ -67,9 +73,19 @@ Result<double> FlagParser::GetDouble(const std::string& name,
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
-  auto it = flags_.find(name);
+  auto it = Find(name);
   if (it == flags_.end()) return default_value;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+Status FlagParser::CheckAllRead() const {
+  std::string unknown;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) > 0) continue;
+    unknown += (unknown.empty() ? "--" : ", --") + name;
+  }
+  if (unknown.empty()) return Status::OK();
+  return Status::InvalidArgument("unknown flag " + unknown);
 }
 
 }  // namespace oca

@@ -2,12 +2,16 @@
 //
 // Supports --name=value and --name value forms plus boolean --name.
 // Not a general-purpose flags library; just enough for our binaries.
+// The parser remembers which names the program asked about, so after
+// reading every flag it knows a program can reject the rest
+// (CheckAllRead) instead of silently running with defaults.
 
 #ifndef OCA_UTIL_FLAGS_H_
 #define OCA_UTIL_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,9 +39,18 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// InvalidArgument naming every parsed flag that no Has() or getter
+  /// call has asked about; OK when there is none. Call it once the
+  /// program has read all the flags it knows.
+  Status CheckAllRead() const;
+
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace oca

@@ -19,6 +19,7 @@
 #include "core/community_store.h"
 #include "core/recursive_hierarchy.h"
 #include "io/community_serialize.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -62,7 +63,7 @@ class CommunityStoreQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const std::string path =
-        ::testing::TempDir() + "/oca_store_query_test.ocac";
+        testing::TestTempPath("store_query_test.ocac");
     auto written = WriteCommunityStoreFile(HandcraftedTree(), kNodes, 13,
                                            path);
     ASSERT_TRUE(written.ok()) << written.status().ToString();

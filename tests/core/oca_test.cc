@@ -110,6 +110,22 @@ TEST(OcaTest, InvalidCouplingConstantErrors) {
   EXPECT_TRUE(RunOca(g, opt).status().IsInvalidArgument());
 }
 
+TEST(OcaTest, ClimbErrorReachesTheRunStatus) {
+  // RunOca does not validate the climb's own options; a negative epsilon
+  // fails every GreedyLocalSearch, and that error must surface instead
+  // of the climbs quietly yielding empty communities.
+  Graph g = KarateClub();
+  for (size_t threads : {1, 4}) {
+    OcaOptions opt = SmallGraphOptions();
+    opt.num_threads = threads;
+    opt.search.epsilon = -1.0;
+    Status status = RunOca(g, opt).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("epsilon"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(OcaTest, CouplingBoundIsSharedBetweenSuppliedAndComputed) {
   Graph g = TwoCliquesBridge();
   // Exactly 1.0 is inadmissible on the supplied path...

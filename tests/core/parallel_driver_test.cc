@@ -20,7 +20,7 @@ LocalSearchOptions Options(const Graph& g) {
 TEST(ExpandSeedBatchTest, SerialExpandsAll) {
   Graph g = TwoCliquesBridge();
   std::vector<Community> seeds = {{0}, {9}, {4}};
-  auto results = ExpandSeedBatch(g, seeds, Options(g), nullptr);
+  auto results = ExpandSeedBatch(g, seeds, Options(g), nullptr).value();
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].community, (Community{0, 1, 2, 3, 4}));
   EXPECT_EQ(results[1].community, (Community{5, 6, 7, 8, 9}));
@@ -31,9 +31,9 @@ TEST(ExpandSeedBatchTest, ParallelMatchesSerial) {
   Graph g = testing::KarateClub();
   std::vector<Community> seeds;
   for (NodeId v = 0; v < g.num_nodes(); ++v) seeds.push_back({v});
-  auto serial = ExpandSeedBatch(g, seeds, Options(g), nullptr);
+  auto serial = ExpandSeedBatch(g, seeds, Options(g), nullptr).value();
   ThreadPool pool(4);
-  auto parallel = ExpandSeedBatch(g, seeds, Options(g), &pool);
+  auto parallel = ExpandSeedBatch(g, seeds, Options(g), &pool).value();
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].community, parallel[i].community) << "slot " << i;
@@ -41,27 +41,32 @@ TEST(ExpandSeedBatchTest, ParallelMatchesSerial) {
   }
 }
 
-TEST(ExpandSeedBatchTest, InvalidSeedYieldsEmptySlot) {
+TEST(ExpandSeedBatchTest, InvalidSeedFailsWithLowestSlotError) {
+  // Slot 1 (empty seed) and slot 2 (out of range) both fail; serial and
+  // threaded runs report slot 1's error.
   Graph g = TwoCliquesBridge();
-  std::vector<Community> seeds = {{0}, {}, {99}};
-  auto results = ExpandSeedBatch(g, seeds, Options(g), nullptr);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].community.empty());
-  EXPECT_TRUE(results[1].community.empty());  // empty seed -> error slot
-  EXPECT_TRUE(results[2].community.empty());  // out of range -> error slot
+  std::vector<Community> seeds = {{0}, {}, {99}, {5}};
+  auto serial = ExpandSeedBatch(g, seeds, Options(g), nullptr);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_TRUE(serial.status().IsInvalidArgument());
+  EXPECT_NE(serial.status().message().find("non-empty"), std::string::npos);
+  ThreadPool pool(4);
+  auto threaded = ExpandSeedBatch(g, seeds, Options(g), &pool);
+  ASSERT_FALSE(threaded.ok());
+  EXPECT_EQ(threaded.status().ToString(), serial.status().ToString());
 }
 
 TEST(ExpandSeedBatchTest, EmptyBatch) {
   Graph g = TwoCliquesBridge();
   ThreadPool pool(2);
-  auto results = ExpandSeedBatch(g, {}, Options(g), &pool);
+  auto results = ExpandSeedBatch(g, {}, Options(g), &pool).value();
   EXPECT_TRUE(results.empty());
 }
 
 TEST(ExpandSeedBatchTest, SingleSeedSkipsPool) {
   Graph g = TwoCliquesBridge();
   ThreadPool pool(2);
-  auto results = ExpandSeedBatch(g, {{3}}, Options(g), &pool);
+  auto results = ExpandSeedBatch(g, {{3}}, Options(g), &pool).value();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].community, (Community{0, 1, 2, 3, 4}));
 }

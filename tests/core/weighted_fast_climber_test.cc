@@ -168,6 +168,31 @@ TEST(WeightedFastClimberTest, ScratchCacheSurvivesGraphSwitch) {
   }
 }
 
+TEST(WeightedFastClimberTest, ScratchCacheSeesGraphAssignedInPlace) {
+  // Copy-assigning a graph of the same shape reuses the target's weight
+  // buffer, so the weight array keeps its address and length while its
+  // contents change. The scratch must still rebuild its weighted-degree
+  // table: a stale one leaves the reported weighted volume (and in a
+  // Debug build the w_deg_in <= w_deg assert) wrong.
+  const Graph a = HashWeighted(NestedGraph(), 100.0, 1000.0, 1);
+  const Graph b = HashWeighted(NestedGraph(), 0.1, 1.0, 7);
+  LocalSearchOptions options;
+  options.fitness.use_weights = true;
+  Graph g = a;
+  for (NodeId seed = 0; seed < 8; ++seed) {
+    g = a;
+    ASSERT_TRUE(GreedyLocalSearch(g, {seed}, options).ok());
+    const double* buffer = g.weight_array().data();
+    g = b;
+    ASSERT_EQ(g.weight_array().data(), buffer);
+    auto reused = GreedyLocalSearch(g, {seed}, options).value();
+    auto fresh = GreedyLocalSearch(b, {seed}, options).value();
+    EXPECT_EQ(reused.community, fresh.community) << "seed " << seed;
+    EXPECT_EQ(reused.fitness, fresh.fitness) << "seed " << seed;
+    EXPECT_EQ(reused.stats.w_volume, fresh.stats.w_volume) << "seed " << seed;
+  }
+}
+
 TEST(WeightedFastClimberTest, UnweightedGraphWithUseWeightsTakesIntegerPath) {
   // use_weights on an UNWEIGHTED graph is the all-1.0 case: the integer
   // climber's mirrored stats make every weighted evaluation

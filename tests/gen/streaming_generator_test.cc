@@ -20,6 +20,7 @@
 #include "graph/graph_checks.h"
 #include "graph/mmap_graph.h"
 #include "io/edge_stream.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -40,7 +41,7 @@ std::vector<uint32_t> ReadDegreeFile(const std::string& path) {
 }
 
 std::string Prefix(const std::string& tag) {
-  return ::testing::TempDir() + "/oca_streamgen_" + tag;
+  return testing::TestTempPath("streamgen_" + tag);
 }
 
 StreamingGeneratorOptions SmallOptions(uint64_t seed) {

@@ -33,6 +33,7 @@
 #include "graph/subgraph.h"
 #include "io/graph_serialize.h"
 #include "spectral/csr_matvec.h"
+#include "testing/temp_path.h"
 #include "util/random.h"
 
 namespace oca {
@@ -47,7 +48,7 @@ struct BackendPair {
 /// Serializes `g` and reopens it through the mmap backend.
 Graph MmapCopy(const Graph& g, const std::string& tag) {
   const std::string path =
-      ::testing::TempDir() + "/oca_backend_equiv_" + tag + ".ocag";
+      testing::TestTempPath("backend_equiv_" + tag + ".ocag");
   EXPECT_TRUE(WriteGraphBinaryFile(g, path).ok());
   auto mapped = OpenMmapGraph(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();

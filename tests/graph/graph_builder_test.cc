@@ -104,6 +104,62 @@ TEST(GraphBuilderTest, LargeRandomGraphValidates) {
   EXPECT_TRUE(ValidateGraph(g).ok());
 }
 
+// The unweighted CSR arrays as a global sort + unique of the canonical
+// edge list followed by a scatter and a per-row sort would give them.
+std::pair<std::vector<uint64_t>, std::vector<NodeId>> GlobalSortCsr(
+    size_t n, std::vector<Edge> edges) {
+  for (auto& [u, v] : edges) {
+    if (u > v) std::swap(u, v);
+  }
+  std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<uint64_t> offsets(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    ++offsets[v + 1];
+  }
+  for (size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+  std::vector<NodeId> neighbors(2 * edges.size());
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& [u, v] : edges) {
+    neighbors[cursor[u]++] = v;
+    neighbors[cursor[v]++] = u;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::sort(neighbors.begin() + static_cast<ptrdiff_t>(offsets[i]),
+              neighbors.begin() + static_cast<ptrdiff_t>(offsets[i + 1]));
+  }
+  return {std::move(offsets), std::move(neighbors)};
+}
+
+TEST(GraphBuilderTest, UnweightedBuildMatchesGlobalSortReference) {
+  // Multigraphs in random insertion order and orientation, with parallel
+  // edges, self-loops and isolated nodes; dense and sparse.
+  for (const auto& [n, m] : {std::pair<size_t, int>{40, 600},
+                             {500, 3000},
+                             {2000, 1500}}) {
+    uint64_t x = n * 7919 + static_cast<uint64_t>(m);
+    std::vector<Edge> edges;
+    for (int i = 0; i < m; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      const Edge e{static_cast<NodeId>((x >> 32) % n),
+                   static_cast<NodeId>((x >> 12) % n)};
+      edges.push_back(e);
+      if (i % 7 == 0) edges.push_back(e);
+      if (i % 11 == 0) edges.emplace_back(e.second, e.first);
+    }
+    GraphBuilder builder(n);
+    builder.AddEdges(edges);
+    const Graph g = builder.Build().value();
+    const auto [offsets, neighbors] = GlobalSortCsr(n, edges);
+    EXPECT_TRUE(std::ranges::equal(g.offsets(), offsets)) << "n=" << n;
+    EXPECT_TRUE(std::ranges::equal(g.neighbor_array(), neighbors))
+        << "n=" << n;
+    EXPECT_EQ(g.neighbor_array().size(), neighbors.size());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Cache-aware reordering (NodeOrdering / ReorderGraph).
 // ---------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "graph/graph_stream_build.h"
 #include "graph/mmap_graph.h"
 #include "io/graph_serialize.h"
+#include "testing/temp_path.h"
 #include "util/random.h"
 
 namespace oca {
@@ -33,7 +34,7 @@ std::vector<char> FileBytes(const std::string& path) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/oca_stream_build_" + name;
+  return testing::TestTempPath("stream_build_" + name);
 }
 
 /// The reference file: in-memory Build + serialize.

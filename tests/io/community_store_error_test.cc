@@ -21,6 +21,7 @@
 #include "core/recursive_hierarchy.h"
 #include "io/community_format.h"
 #include "io/community_serialize.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -69,7 +70,7 @@ class CommunityStoreErrorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     tree_ = HandcraftedTree();
-    path_ = ::testing::TempDir() + "/oca_store_error_base.ocac";
+    path_ = testing::TestTempPath("store_error_base.ocac");
     auto written = WriteCommunityStoreFile(tree_, kNodes, kEdges, path_);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
     std::ifstream in(path_, std::ios::binary);
@@ -97,7 +98,7 @@ class CommunityStoreErrorTest : public ::testing::Test {
                                    const std::string& tag,
                                    const CommunityStoreOptions& options = {}) {
     const std::string path =
-        ::testing::TempDir() + "/oca_store_error_" + tag + ".ocac";
+        testing::TestTempPath("store_error_" + tag + ".ocac");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -131,7 +132,7 @@ TEST_F(CommunityStoreErrorTest, ValidFileOpens) {
 }
 
 TEST_F(CommunityStoreErrorTest, MissingFile) {
-  auto r = CommunityStore::Open(::testing::TempDir() + "/oca_no_such.ocac");
+  auto r = CommunityStore::Open(testing::TestTempPath("no_such.ocac"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }

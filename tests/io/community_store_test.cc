@@ -22,6 +22,7 @@
 #include "gen/nested_partition.h"
 #include "io/community_format.h"
 #include "io/community_serialize.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -60,7 +61,7 @@ RecursiveHierarchy HandcraftedTree() {
 }
 
 std::string TempStorePath(const std::string& tag) {
-  return ::testing::TempDir() + "/oca_store_roundtrip_" + tag + ".ocac";
+  return testing::TestTempPath("store_roundtrip_" + tag + ".ocac");
 }
 
 CommunityStore WriteAndOpen(const RecursiveHierarchy& tree,

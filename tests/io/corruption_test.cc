@@ -11,6 +11,7 @@
 #include "io/edge_list.h"
 #include "io/graph_serialize.h"
 #include "io/metis.h"
+#include "io/snap.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -60,17 +61,66 @@ INSTANTIATE_TEST_SUITE_P(Positions, BinaryCorruptionSweep,
 
 class TextGarbageSweep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TextGarbageSweep, EdgeListNeverCrashesOnRandomBytes) {
-  Rng rng(GetParam());
+std::string RandomText(uint64_t seed) {
+  Rng rng(seed);
   std::string garbage;
   for (int i = 0; i < 400; ++i) {
     garbage.push_back(static_cast<char>(rng.NextBounded(96) + 32));
     if (rng.NextBool(0.05)) garbage.push_back('\n');
   }
-  std::istringstream in(garbage);
+  return garbage;
+}
+
+// Both text edge-list readers on `text`: a valid graph or an IOError.
+void ExpectGraphOrIOError(const std::string& text) {
+  std::istringstream edge_list(text);
+  auto loaded = ReadEdgeListStream(edge_list);
+  if (loaded.ok()) {
+    EXPECT_TRUE(ValidateGraph(loaded.value().graph).ok());
+  } else {
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+  }
+  std::istringstream snap(text);
+  auto read = ReadSnapStream(snap);
+  if (read.ok()) {
+    EXPECT_TRUE(ValidateGraph(read.value().graph).ok());
+  } else {
+    EXPECT_TRUE(read.status().IsIOError()) << read.status().ToString();
+  }
+}
+
+TEST_P(TextGarbageSweep, EdgeListNeverCrashesOnRandomBytes) {
+  std::istringstream in(RandomText(GetParam()));
   auto result = ReadEdgeListStream(in);
   if (result.ok()) {
     EXPECT_TRUE(ValidateGraph(result.value().graph).ok());
+  }
+}
+
+TEST_P(TextGarbageSweep, SnapNeverCrashesOnRandomBytes) {
+  std::istringstream in(RandomText(GetParam() ^ 0x5A4E));
+  auto result = ReadSnapStream(in);
+  if (result.ok()) {
+    EXPECT_TRUE(ValidateGraph(result.value().graph).ok());
+  } else {
+    EXPECT_TRUE(result.status().IsIOError());
+  }
+}
+
+TEST_P(TextGarbageSweep, EdgeListByteFlipsAndTruncations) {
+  // Mutants of a valid edge list: one random byte replaced, or the text
+  // cut at a random point.
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteEdgeListStream(testing::KarateClub(), buffer).ok());
+  const std::string text = buffer.str();
+  Rng rng(GetParam() ^ 0xF11B);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::string flipped = text;
+    const size_t pos = static_cast<size_t>(rng.NextBounded(text.size()));
+    flipped[pos] = static_cast<char>(rng.NextBounded(256));
+    ExpectGraphOrIOError(flipped);
+    ExpectGraphOrIOError(
+        text.substr(0, static_cast<size_t>(rng.NextBounded(text.size()))));
   }
 }
 

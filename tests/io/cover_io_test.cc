@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "testing/temp_path.h"
+
 namespace oca {
 namespace {
 
@@ -52,7 +54,7 @@ TEST(CoverRoundTripTest, FileRoundTrip) {
   cover.Add({0, 1, 2});
   cover.Add({2, 3, 4});  // overlapping
   cover.Canonicalize();
-  std::string path = ::testing::TempDir() + "/oca_cover_test.txt";
+  std::string path = testing::TestTempPath("cover_test.txt");
   auto written = WriteCoverFile(cover, path);
   ASSERT_TRUE(written.ok());
   EXPECT_EQ(written.value(), cover.size());

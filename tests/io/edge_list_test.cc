@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/graph_checks.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 
 namespace oca {
@@ -76,7 +77,7 @@ TEST(EdgeListRoundTripTest, WriteThenReadPreservesStructure) {
 
 TEST(EdgeListRoundTripTest, FileRoundTrip) {
   Graph g = testing::TwoCliquesOverlap();
-  std::string path = ::testing::TempDir() + "/oca_edge_list_test.txt";
+  std::string path = testing::TestTempPath("edge_list_test.txt");
   ASSERT_TRUE(WriteEdgeListFile(g, path).ok());
   auto loaded = ReadEdgeListFile(path).value();
   EXPECT_EQ(loaded.graph.Edges(), g.Edges());

@@ -15,12 +15,13 @@
 #include "graph/graph_builder.h"
 #include "graph/mmap_graph.h"
 #include "io/graph_serialize.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/oca_edge_stream_" + name;
+  return testing::TestTempPath("edge_stream_" + name);
 }
 
 TEST(WeightedEdgeFileTest, RoundTripsRecordsExactly) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "gen/erdos_renyi.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -69,7 +70,7 @@ TEST(GraphSerializeTest, CorruptedCsrRejectedByValidation) {
 
 TEST(GraphSerializeTest, FileRoundTrip) {
   Graph g = testing::TwoCliquesOverlap();
-  std::string path = ::testing::TempDir() + "/oca_graph_test.bin";
+  std::string path = testing::TestTempPath("graph_test.bin");
   ASSERT_TRUE(WriteGraphBinaryFile(g, path).ok());
   Graph loaded = ReadGraphBinaryFile(path).value();
   EXPECT_EQ(loaded.Edges(), g.Edges());

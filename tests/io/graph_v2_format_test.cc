@@ -30,6 +30,7 @@
 #include "graph/mmap_graph.h"
 #include "io/graph_format.h"
 #include "io/graph_serialize.h"
+#include "testing/temp_path.h"
 #include "util/random.h"
 
 namespace oca {
@@ -47,14 +48,14 @@ class GraphV2FormatTest : public ::testing::Test {
     Rng rng(31);
     Graph base = ErdosRenyi(60, 0.1, &rng).value();
     graph_ = AssignWeights(base, {}).value();
-    path_ = ::testing::TempDir() + "/oca_v2_base.ocag";
+    path_ = testing::TestTempPath("v2_base.ocag");
     ASSERT_TRUE(WriteGraphBinaryFile(graph_, path_).ok());
     bytes_ = FileBytes(path_);
   }
 
   Result<Graph> OpenBytes(const std::vector<char>& bytes,
                           const std::string& tag) {
-    const std::string path = ::testing::TempDir() + "/oca_v2_" + tag + ".ocag";
+    const std::string path = testing::TestTempPath("v2_" + tag + ".ocag");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -82,7 +83,7 @@ TEST_F(GraphV2FormatTest, WeightedFileIsVersion2WithExactSize) {
 TEST_F(GraphV2FormatTest, UnweightedGraphsStillWriteVersion1) {
   Rng rng(31);
   Graph base = ErdosRenyi(60, 0.1, &rng).value();
-  const std::string path = ::testing::TempDir() + "/oca_v2_unweighted.ocag";
+  const std::string path = testing::TestTempPath("v2_unweighted.ocag");
   ASSERT_TRUE(WriteGraphBinaryFile(base, path).ok());
   std::vector<char> bytes = FileBytes(path);
   uint32_t version = 0;
@@ -131,8 +132,7 @@ TEST_F(GraphV2FormatTest, StreamingBuilderMatchesWriterByteForByte) {
     StreamBuildOptions options;
     options.buffer_bytes = buffer;
     const std::string path =
-        ::testing::TempDir() + "/oca_v2_stream_" + std::to_string(buffer) +
-        ".ocag";
+        testing::TestTempPath("v2_stream_" + std::to_string(buffer) + ".ocag");
     auto stats =
         BuildGraphFileFromEdges(graph_.num_nodes(), source, path, options);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();

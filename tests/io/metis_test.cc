@@ -7,6 +7,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_checks.h"
+#include "testing/temp_path.h"
 #include "testing/test_graphs.h"
 #include "util/random.h"
 
@@ -155,7 +156,7 @@ TEST(MetisRoundTripTest, RandomGraphs) {
 
 TEST(MetisRoundTripTest, FileRoundTrip) {
   Graph g = testing::TwoCliquesOverlap();
-  std::string path = ::testing::TempDir() + "/oca_metis_test.graph";
+  std::string path = testing::TestTempPath("metis_test.graph");
   ASSERT_TRUE(WriteMetisFile(g, path).ok());
   EXPECT_EQ(ReadMetisFile(path).value().Edges(), g.Edges());
   std::remove(path.c_str());

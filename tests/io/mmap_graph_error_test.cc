@@ -21,6 +21,7 @@
 #include "graph/mmap_graph.h"
 #include "io/graph_format.h"
 #include "io/graph_serialize.h"
+#include "testing/temp_path.h"
 #include "util/random.h"
 
 namespace oca {
@@ -31,7 +32,7 @@ class MmapGraphErrorTest : public ::testing::Test {
   void SetUp() override {
     Rng rng(31);
     graph_ = ErdosRenyi(60, 0.1, &rng).value();
-    path_ = ::testing::TempDir() + "/oca_mmap_error_base.ocag";
+    path_ = testing::TestTempPath("mmap_error_base.ocag");
     ASSERT_TRUE(WriteGraphBinaryFile(graph_, path_).ok());
     std::ifstream in(path_, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
@@ -44,7 +45,7 @@ class MmapGraphErrorTest : public ::testing::Test {
   Result<Graph> OpenBytes(const std::vector<char>& bytes,
                           const std::string& tag) {
     const std::string path =
-        ::testing::TempDir() + "/oca_mmap_error_" + tag + ".ocag";
+        testing::TestTempPath("mmap_error_" + tag + ".ocag");
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -71,7 +72,7 @@ TEST_F(MmapGraphErrorTest, ValidFileRoundTripsEdgeSet) {
 }
 
 TEST_F(MmapGraphErrorTest, MissingFile) {
-  auto r = OpenMmapGraph(::testing::TempDir() + "/oca_no_such_file.ocag");
+  auto r = OpenMmapGraph(testing::TestTempPath("no_such_file.ocag"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
@@ -194,7 +195,7 @@ TEST_F(MmapGraphErrorTest, NeighborOutOfRangeCaughtByValidation) {
   MmapGraphOptions lax;
   lax.validate = false;
   const std::string path =
-      ::testing::TempDir() + "/oca_mmap_error_bad_neighbor.ocag";
+      testing::TestTempPath("mmap_error_bad_neighbor.ocag");
   auto lax_r = OpenMmapGraph(path, lax);
   EXPECT_TRUE(lax_r.ok()) << lax_r.status().ToString();
 }

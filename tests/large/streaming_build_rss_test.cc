@@ -22,6 +22,7 @@
 
 #include "graph/graph_stream_build.h"
 #include "graph/mmap_graph.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -76,7 +77,7 @@ TEST(StreamingBuildRssTest, PeakRssStaysBelowEdgeListSize) {
   const NodeId k = 10;  // 2M edges
   const uint64_t edge_list_bytes = uint64_t{n} * k * sizeof(Edge);  // 16 MiB
   const std::string path =
-      ::testing::TempDir() + "/oca_rss_circulant.ocag";
+      testing::TestTempPath("rss_circulant.ocag");
 
   const uint64_t parent_rss = CurrentRssBytes();
   ASSERT_GT(parent_rss, 0u);

@@ -17,6 +17,7 @@
 #include "core/recursive_hierarchy.h"
 #include "io/community_serialize.h"
 #include "server/store_protocol.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -57,7 +58,7 @@ class StoreProtocolTest : public ::testing::Test {
   void SetUp() override {
     tree_ = HandcraftedTree();
     const std::string path =
-        ::testing::TempDir() + "/oca_store_protocol_test.ocac";
+        testing::TestTempPath("store_protocol_test.ocac");
     ASSERT_TRUE(WriteCommunityStoreFile(tree_, 9, 13, path).ok());
     auto store = CommunityStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();

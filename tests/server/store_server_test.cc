@@ -21,6 +21,7 @@
 #include "io/community_serialize.h"
 #include "server/store_client.h"
 #include "server/store_server.h"
+#include "testing/temp_path.h"
 
 namespace oca {
 namespace {
@@ -58,7 +59,7 @@ class StoreServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const std::string path =
-        ::testing::TempDir() + "/oca_store_server_test.ocac";
+        testing::TestTempPath("store_server_test.ocac");
     ASSERT_TRUE(WriteCommunityStoreFile(HandcraftedTree(), 9, 13, path).ok());
     auto store = CommunityStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();

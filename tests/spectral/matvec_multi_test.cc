@@ -19,6 +19,7 @@
 #include "io/graph_serialize.h"
 #include "spectral/csr_matvec.h"
 #include "spectral/power_method.h"
+#include "testing/temp_path.h"
 #include "util/random.h"
 
 namespace oca {
@@ -160,7 +161,7 @@ TEST(MatVecMultiTest, RaggedRowsMatchAcrossWidthsAndKernels) {
 TEST(MatVecMultiTest, MmapBackendMatchesOwnedBitIdentical) {
   Rng rng(17);
   Graph owned = ErdosRenyi(400, 0.03, &rng).value();
-  const std::string path = ::testing::TempDir() + "/oca_matvec_multi.ocag";
+  const std::string path = testing::TestTempPath("matvec_multi.ocag");
   ASSERT_TRUE(WriteGraphBinaryFile(owned, path).ok());
   auto mapped = OpenMmapGraph(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();

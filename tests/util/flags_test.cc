@@ -91,5 +91,25 @@ TEST(FlagParserTest, LastOccurrenceWins) {
   EXPECT_EQ(p.GetInt("k", 0).value(), 2);
 }
 
+TEST(FlagParserTest, CheckAllReadNamesFlagsNoGetterAskedFor) {
+  auto p = ParseOk({"--nodes=5", "--bogus=1", "--verbose", "--zz", "x"});
+  EXPECT_EQ(p.GetInt("nodes", 0).value(), 5);
+  EXPECT_TRUE(p.Has("verbose"));
+  Status status = p.CheckAllRead();
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(), "unknown flag --bogus, --zz");
+  // Any getter or Has() on a name marks it read.
+  EXPECT_EQ(p.GetInt("bogus", 0).value(), 1);
+  EXPECT_EQ(p.GetString("zz", ""), "x");
+  EXPECT_TRUE(p.CheckAllRead().ok());
+}
+
+TEST(FlagParserTest, CheckAllReadIgnoresUnsetKnownFlags) {
+  auto p = ParseOk({"--k=3", "pos"});
+  EXPECT_EQ(p.GetInt("k", 0).value(), 3);
+  EXPECT_EQ(p.GetDouble("alpha", 1.0).value(), 1.0);  // absent: fine
+  EXPECT_TRUE(p.CheckAllRead().ok());
+}
+
 }  // namespace
 }  // namespace oca
